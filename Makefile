@@ -24,8 +24,9 @@ vm-bench:
 	$(PYTHON) -m pytest benchmarks/test_p1_res_throughput.py -q -m perf \
 		-k bytecode_engine
 
-# P3 batch-triage throughput benchmark: sharded service vs serial
-# sweep on a labeled fuzz corpus (appends `triage_throughput` rows).
+# P3 batch-triage throughput benchmark (also a CI gate): sharded
+# service vs serial sweep on a labeled fuzz corpus, byte-identical
+# buckets enforced (appends `triage_throughput` rows).
 triage-bench:
 	$(PYTHON) -m pytest benchmarks/test_p3_triage_throughput.py -q -m perf
 

@@ -194,7 +194,8 @@ def cmd_triage(args: argparse.Namespace) -> int:
                                  warm_from=tuple(args.warm_from),
                                  rebucket_only=args.rebucket)
     # SIGTERM (a supervisor's stop) takes the same clean-interrupt path
-    # as ^C: pool terminated, partial verdicts kept, store flagged.
+    # as ^C: worker executors killed, partial verdicts kept, store
+    # flagged.
     with deliver_sigterm_as_interrupt():
         service_result = triage_corpus(corpus, config)
     res_results = service_result.results

@@ -42,7 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_triage.add_argument("--seed", type=int, default=0,
                           help="corpus RNG seed (default: %(default)s)")
     p_triage.add_argument("--jobs", type=int, default=1,
-                          help="triage worker processes "
+                          help="forked worker processes (the intake "
+                               "daemon's executors) driving the unique "
+                               "reports; 1 drives in process "
                                "(default: %(default)s)")
     p_triage.add_argument("--max-depth", type=int, default=16,
                           help="RES suffix depth per report "

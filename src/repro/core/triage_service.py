@@ -1,5 +1,5 @@
-"""Batch triage service: sharded, multiprocess triage over coredump
-corpora (paper §3.1 at production scale).
+"""Batch triage service: triage over coredump corpora (paper §3.1 at
+production scale).
 
 The single-report :class:`repro.core.triage.TriageEngine` answers "what
 bucket does this coredump belong to?".  This module answers the same
@@ -11,14 +11,17 @@ stacked on top of the engine:
   reports whose :meth:`repro.vm.coredump.Coredump.fingerprint` matches
   an already-triaged report short-circuit to the cached verdict and
   never touch RES;
-* **sharding by program** — unique reports are grouped by the program
-  they crash, and groups are fanned across worker processes.  Within a
-  worker every report of the same program reuses one compiled module
-  and one :class:`TriageEngine`, so the per-module RES caches
-  (candidate enumerator, writer index, block boundaries, solver verdict
-  cache) are shared across reports instead of rebuilt per report;
-* **anytime streaming + a persistent report store** — finished groups
-  are streamed to a ``progress`` callback as they land, and the JSON
+* **one drive path** — unique reports are queued grouped by the
+  program they crash and driven through :class:`StreamingTriage`, the
+  same session the intake daemon runs: in process for ``jobs=1``,
+  otherwise on the daemon's forked worker executors
+  (:mod:`repro.service.workerpool`).  Within a session every report of
+  the same program reuses one compiled module and one
+  :class:`TriageEngine`, so the per-module RES caches (candidate
+  enumerator, writer index, block boundaries, solver verdict cache)
+  are shared across reports instead of rebuilt per report;
+* **anytime streaming + a persistent report store** — verdicts are
+  streamed to a ``progress`` callback as they land, and the JSON
   report store on disk is atomically rewritten as results accumulate,
   so an operator can watch buckets fill while the batch is running and
   an interrupted run leaves a readable partial store behind;
@@ -47,8 +50,10 @@ the run, not the verdicts).
 from __future__ import annotations
 
 import json
+import queue
+import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -83,9 +88,9 @@ from repro.core.triage import (
 class ProgramSpec:
     """Picklable handle for a program a corpus crashes.
 
-    Workers compile the source themselves (a :class:`Module` carries
+    Sessions compile the source themselves (a :class:`Module` carries
     per-module caches and closures that must not cross process
-    boundaries); compiling once per worker is exactly what lets those
+    boundaries); compiling once per session is exactly what lets those
     caches be shared across every report of the same program.
     """
 
@@ -226,10 +231,10 @@ class TriageCorpus:
 
 @dataclass
 class TriageServiceConfig:
-    """Tuning knobs of a batch triage run; must stay picklable.
+    """Tuning knobs of a batch triage run.
 
-    ``annotations`` ride along to the workers, so with ``jobs > 1``
-    their matchers must be picklable (module-level functions).
+    Worker processes (``jobs > 1``) inherit it through ``fork``, so
+    ``annotations`` matchers need not be picklable.
     """
 
     jobs: int = 1
@@ -243,9 +248,6 @@ class TriageServiceConfig:
     taint_suffixes: int = 8
     #: persistent JSON report store (None disables the store)
     store_path: Optional[str] = None
-    #: rewrite the store every N finished groups (anytime visibility
-    #: vs. fsync traffic)
-    flush_every: int = 4
     #: cross-run result cache directory: verdicts are read from it
     #: before any search runs and appended to it as results land
     cache_dir: Optional[str] = None
@@ -268,7 +270,7 @@ class TriageServiceConfig:
     def config_fingerprint(self) -> str:
         """Must match :meth:`TriageEngine.config_fingerprint` for the
         engines this config builds — the solver caps come from a
-        default-constructed :class:`Solver`, exactly as the workers
+        default-constructed :class:`Solver`, exactly as the sessions
         construct theirs."""
         solver = Solver()
         return res_config_fingerprint(
@@ -322,102 +324,31 @@ class TriageServiceResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Batch entry point
 # ---------------------------------------------------------------------------
 
-#: per-process state: compiled modules and engines, keyed by program
-#: (populated lazily, shared across every group the worker processes)
-_WORKER: Dict[str, object] = {}
+#: rewrite the report store every N settled verdicts — the one cadence
+#: of both store writers (batch :func:`triage_corpus` and the daemon).
+#: The closing flush always runs, so the store never misses a verdict;
+#: this only trades mid-run visibility against rewrite traffic.
+STORE_FLUSH_EVERY = 8
 
-
-def _init_worker(programs: Dict[str, ProgramSpec],
-                 config: TriageServiceConfig) -> None:
-    _WORKER["programs"] = programs
-    _WORKER["config"] = config
-    _WORKER["engines"] = {}
-
-
-def build_engine(spec: ProgramSpec, config: TriageServiceConfig,
-                 chain: Optional[CacheChain] = None) -> TriageEngine:
-    """Compile ``spec`` and build the one engine every report of that
-    program rides — the single construction path shared by the batch
-    workers and the streaming (daemon) sessions, so the two cannot
-    drift apart."""
-    engine = TriageEngine(spec.compile(), config.res_config(),
-                          annotations=config.annotations,
-                          stack_depth=config.stack_depth,
-                          max_suffixes=config.max_suffixes,
-                          taint_suffixes=config.taint_suffixes)
-    if chain is not None and chain.enabled:
-        # Warm workers start primed: a prior run's exported
-        # residual-component cache is exact (pure function of its
-        # key), so priming can speed the search up but never
-        # change a verdict.
-        engine.import_solver_cache(
-            chain.load_solver_cache(spec.module_fp()))
-    return engine
-
-
-def _worker_engine(program_key: str) -> TriageEngine:
-    engines: Dict[str, TriageEngine] = _WORKER["engines"]  # type: ignore
-    engine = engines.get(program_key)
-    if engine is None:
-        config: TriageServiceConfig = _WORKER["config"]  # type: ignore
-        spec: ProgramSpec = _WORKER["programs"][program_key]  # type: ignore
-        engine = build_engine(spec, config, config.cache_chain())
-        engines[program_key] = engine
-    return engine
-
-
-#: per-item extras riding back with each verdict (cache-row material)
-_GroupItem = Tuple[int, TriageResult, float, dict]
-
-
-def _triage_group(group: Tuple[str, List[Tuple[int, BugReport]]]
-                  ) -> Tuple[str, List[_GroupItem], Optional[dict]]:
-    """Triage one (program, reports) group; runs inside a worker (or
-    inline for ``jobs=1`` — same code path, so serial and sharded runs
-    cannot diverge).  Returns the program key, the per-report verdicts
-    (with drive stats + suffix digests for the result cache), and —
-    when a cache is configured — the engine's exported solver cache."""
-    program_key, items = group
-    config: TriageServiceConfig = _WORKER["config"]  # type: ignore
-    engine = _worker_engine(program_key)
-    out: List[_GroupItem] = []
-    for index, report in items:
-        started = time.perf_counter()
-        result = engine.triage_one(report)
-        out.append((index, result, time.perf_counter() - started,
-                    {"stats": engine.last_stats,
-                     "suffixes": engine.last_suffix_digests}))
-    solver_export = None
-    if config.cache_dir is not None:
-        solver_export = engine.export_solver_cache()
-    return program_key, out, solver_export
-
-
-# ---------------------------------------------------------------------------
-# The service driver
-# ---------------------------------------------------------------------------
 
 def triage_corpus(corpus: TriageCorpus,
                   config: Optional[TriageServiceConfig] = None,
                   progress: Optional[Callable[[List[TriagedReport]],
                                               None]] = None
                   ) -> TriageServiceResult:
-    """Triage a whole corpus: dedup, shard, stream, persist.
+    """Triage a whole corpus: dedup, drive, stream, persist.
 
-    ``progress`` is invoked with each finished group's verdicts (plus,
-    at the end, the dedup copies) as they land — the anytime interface.
+    ``progress`` is invoked on the calling thread with each verdict as
+    it lands (plus, at the end, the dedup copies) — the anytime
+    interface.
     """
     config = config or TriageServiceConfig()
     started = time.perf_counter()
     store = TriageStore(config) if config.store_path else None
     chain = config.cache_chain()
-    config_fp = config.config_fingerprint() if chain.enabled else ""
-    module_fps: Dict[str, str] = {
-        key: spec.module_fp() for key, spec in corpus.programs.items()
-    } if chain.enabled else {}
 
     # 1. Fingerprint + dedup: the first occurrence of each
     #    (program, fingerprint) pair is the representative; later
@@ -433,40 +364,21 @@ def triage_corpus(corpus: TriageCorpus,
         else:
             representative[key] = index
 
-    # 2. Warm start: representatives whose strict cache key is
-    #    unchanged take their verdict straight from the cross-run
-    #    cache — the bucket mapping is re-derived from the cached
-    #    cause (so current annotations apply), and no module is even
-    #    compiled for fully-cached programs.  Any fingerprint
-    #    mismatch is a miss and the report is recomputed below.
-    cached_slots: Dict[int, TriagedReport] = {}
-    if chain.enabled:
-        for index in representative.values():
-            entry = corpus.entries[index]
-            cache_key = CacheKey(module_fp=module_fps[entry.program_key],
-                                 coredump_fp=fingerprints[index],
-                                 config_fp=config_fp)
-            hit = chain.lookup(cache_key)
-            if hit is None:
-                continue
-            result = synthesize_result(entry.report, hit.cause,
-                                       hit.exploitable,
-                                       annotations=config.annotations,
-                                       stack_depth=config.stack_depth)
-            cached_slots[index] = TriagedReport(
-                result=result, program_key=entry.program_key,
-                fingerprint=fingerprints[index], seconds=0.0,
-                cached=True)
-
     if config.rebucket_only:
         if not chain.enabled:
             raise ReproError(
                 "--rebucket needs a result cache (--cache-dir or "
                 "--warm-from): it re-derives buckets from cached "
                 "verdicts and never searches")
-        missing = [corpus.entries[index].report.report_id
-                   for index in sorted(representative.values())
-                   if index not in cached_slots]
+        config_fp = config.config_fingerprint()
+        missing = [
+            corpus.entries[index].report.report_id
+            for index in sorted(representative.values())
+            if chain.lookup(CacheKey(
+                module_fp=corpus.programs[
+                    corpus.entries[index].program_key].module_fp(),
+                coredump_fp=fingerprints[index],
+                config_fp=config_fp)) is None]
         if missing:
             shown = ", ".join(missing[:5])
             more = f" (+{len(missing) - 5} more)" if len(missing) > 5 \
@@ -475,107 +387,37 @@ def triage_corpus(corpus: TriageCorpus,
                 f"--rebucket: {len(missing)} report(s) have no cached "
                 f"verdict and would need a search: {shown}{more}")
 
-    # 3. Shard: group unique, uncached reports by program
-    #    (first-appearance order), so each group rides one engine and
-    #    its module caches.  Large groups are then split into chunks —
-    #    otherwise a single-program corpus (the common production
-    #    shape) would serialize on one worker and make ``jobs`` a
-    #    silent no-op.
-    groups: Dict[str, List[Tuple[int, BugReport]]] = {}
-    for index, entry in enumerate(corpus.entries):
-        if index in duplicate_of or index in cached_slots:
-            continue
-        groups.setdefault(entry.program_key, []).append(
-            (index, entry.report))
-    work: List[Tuple[str, List[Tuple[int, BugReport]]]] = []
-    if config.jobs > 1:
-        unique_total = sum(len(items) for items in groups.values())
-        chunk = max(1, -(-unique_total // (config.jobs * 4)))
-        for key, items in groups.items():
-            for lo in range(0, len(items), chunk):
-                work.append((key, items[lo:lo + chunk]))
-    else:
-        work = list(groups.items())
+    # 2. Queue the representatives grouped by program
+    #    (first-appearance order), so consecutive drives on one session
+    #    reuse its warm engine and module caches.
+    groups: Dict[str, List[int]] = {}
+    for index in sorted(representative.values()):
+        groups.setdefault(corpus.entries[index].program_key,
+                          []).append(index)
+    work = [index for indices in groups.values() for index in indices]
 
-    # 4. Fan out (or run inline through the identical group function).
+    # 3. Drive each representative through the daemon's session: a
+    #    warm cache hit, or an engine drive plus durable cache append.
     slots: List[Optional[TriagedReport]] = [None] * len(corpus.entries)
-    finished_groups = 0
+    landed = 0
     interrupted = False
-    solver_exports: Dict[str, Optional[dict]] = {}
 
-    for index, item in cached_slots.items():
+    def land(index: int, item: TriagedReport) -> None:
+        nonlocal landed
         slots[index] = item
-    if cached_slots and progress is not None:
-        progress([cached_slots[index] for index in sorted(cached_slots)])
-
-    def land(group_result: Tuple[str, List[_GroupItem],
-                                 Optional[dict]]) -> None:
-        nonlocal finished_groups
-        program_key, group_out, solver_export = group_result
-        landed: List[TriagedReport] = []
-        for index, result, seconds, extras in group_out:
-            entry = corpus.entries[index]
-            item = TriagedReport(result=result,
-                                 program_key=entry.program_key,
-                                 fingerprint=fingerprints[index],
-                                 seconds=seconds)
-            slots[index] = item
-            landed.append(item)
-            if chain.primary is not None:
-                # Durable append as results land: an interrupted run
-                # leaves a valid partial cache a resumed run
-                # warm-starts from.
-                chain.put(
-                    CacheKey(module_fp=module_fps[entry.program_key],
-                             coredump_fp=fingerprints[index],
-                             config_fp=config_fp),
-                    CachedVerdict(cause=result.cause,
-                                  exploitable=result.exploitable,
-                                  seconds=seconds,
-                                  suffix_digests=tuple(
-                                      extras.get("suffixes", ())),
-                                  stats=extras.get("stats")))
-        if solver_export is not None:
-            solver_exports[program_key] = _merge_solver_snapshots(
-                solver_exports.get(program_key), solver_export)
-        finished_groups += 1
+        landed += 1
         if progress is not None:
-            progress(landed)
-        if store is not None and finished_groups % config.flush_every == 0:
+            progress([item])
+        if store is not None and landed % STORE_FLUSH_EVERY == 0:
             store.flush(_partial_result(slots, corpus, started),
                         corpus, complete=False)
 
-    if config.jobs > 1 and len(work) > 1:
-        import multiprocessing as mp
+    try:
+        _drive(corpus, config, chain, fingerprints, work, land)
+    except KeyboardInterrupt:
+        interrupted = True
 
-        pool = mp.Pool(config.jobs, initializer=_init_worker,
-                       initargs=(corpus.programs, config))
-        try:
-            for group_out in pool.imap_unordered(_triage_group, work):
-                land(group_out)
-            pool.close()
-        except KeyboardInterrupt:
-            interrupted = True
-            pool.terminate()
-        except BaseException:
-            # Errors from workers, the progress callback, or a store
-            # flush must not leak live workers (and a join() on a
-            # running pool would raise, masking the cause).
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
-    else:
-        _init_worker(corpus.programs, config)
-        try:
-            for group in work:
-                land(_triage_group(group))
-        except KeyboardInterrupt:
-            interrupted = True
-        finally:
-            _WORKER.clear()
-
-    # 5. Resolve duplicates against their representative's verdict.
+    # 4. Resolve duplicates against their representative's verdict.
     copies: List[TriagedReport] = []
     for index, rep_index in sorted(duplicate_of.items()):
         rep = slots[rep_index]
@@ -597,13 +439,6 @@ def triage_corpus(corpus: TriageCorpus,
     if copies and progress is not None:
         progress(copies)
 
-    # 6. Persist the per-module solver caches so the next run's
-    #    workers start primed even for reports it must recompute.
-    if chain.primary is not None:
-        for program_key, snapshot in solver_exports.items():
-            if snapshot:
-                chain.store_solver_cache(module_fps[program_key], snapshot)
-
     result = _partial_result(slots, corpus, started)
     result.interrupted = interrupted
     if store is not None:
@@ -611,10 +446,80 @@ def triage_corpus(corpus: TriageCorpus,
     return result
 
 
+def _drive(corpus: TriageCorpus, config: TriageServiceConfig,
+           chain: CacheChain, fingerprints: Sequence[str],
+           work: List[int],
+           land: Callable[[int, TriagedReport], None]) -> None:
+    """Run :meth:`StreamingTriage.triage_one` over ``work`` (corpus
+    indices), handing each verdict to ``land`` on this thread.
+
+    One shard drives in process; more run on the daemon's forked
+    :class:`~repro.service.workerpool.ProcessExecutor` workers, each
+    fed from one shared queue by a proxy thread.  A normal finish stops
+    the workers politely (they flush their solver caches); an error or
+    interrupt kills them."""
+    def task(index: int) -> tuple:
+        entry = corpus.entries[index]
+        return (corpus.programs[entry.program_key], entry.report,
+                fingerprints[index])
+
+    shards = min(config.jobs, len(work))
+    if shards <= 1:
+        session = StreamingTriage(config, chain=chain)
+        try:
+            for index in work:
+                land(index, session.triage_one(*task(index)))
+        finally:
+            session.flush_solver_caches()
+        return
+
+    from repro.service.workerpool import ProcessExecutor
+
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    for index in work + [None] * shards:
+        pending.put(index)
+    outcomes: queue.SimpleQueue = queue.SimpleQueue()
+
+    def pump(executor: ProcessExecutor) -> None:
+        try:
+            for index in iter(pending.get, None):
+                outcomes.put((index, executor.run(*task(index))))
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcomes.put((None, exc))
+        outcomes.put(None)
+
+    executors: List[ProcessExecutor] = []
+    threads: List[threading.Thread] = []
+    try:
+        # Fork every worker before any proxy thread starts: a fork
+        # taken while threads run can copy a lock another thread holds.
+        for _ in range(shards):
+            executors.append(ProcessExecutor(config))
+        for executor in executors:
+            thread = threading.Thread(target=pump, args=(executor,),
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+        for _ in threads:  # until every proxy's end marker
+            for index, outcome in iter(outcomes.get, None):
+                if index is None:
+                    raise outcome
+                land(index, outcome)
+    except BaseException:
+        for executor in executors:
+            executor.kill()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+        for executor in executors:
+            executor.close()
+
+
 def _merge_solver_snapshots(base: Optional[dict],
                             extra: Optional[dict]) -> Optional[dict]:
-    """Union two exported component-cache snapshots (chunks of one
-    program may land from different workers).  First row per key wins;
+    """Union two exported component-cache snapshots (sessions of one
+    program flush into the same sidecar).  First row per key wins;
     snapshots with different solver caps never merge."""
     if not base:
         return extra
@@ -642,15 +547,14 @@ class StreamingTriage:
     The batch entry point (:func:`triage_corpus`) wants the whole corpus
     up front; the crash-intake daemon gets reports one HTTP request at a
     time and must answer each without restarting the world.  A
-    ``StreamingTriage`` holds exactly the state one batch pool worker
-    holds — compiled modules and warm engines keyed by program — plus
-    the cross-run cache chain, and triages single reports through the
-    *same* verdict path the batch run uses (:func:`build_engine`,
-    :meth:`TriageEngine.triage_one`, :func:`synthesize_result`, strict
-    cache-key lookup before any compile).  That sharing is the
-    determinism argument: a daemon's verdict for a submission is
-    byte-identical under :func:`verdict_view` to a batch ``res triage``
-    over the same corpus, because there is no daemon-only verdict code.
+    ``StreamingTriage`` holds compiled modules and warm engines keyed by
+    program plus the cross-run cache chain, and triages single reports
+    (strict cache-key lookup before any compile, then
+    :meth:`TriageEngine.triage_one` + durable cache append).  It is the
+    only drive path: :func:`triage_corpus` runs every batch
+    representative through it too, so a daemon's verdict for a
+    submission is byte-identical under :func:`verdict_view` to a batch
+    ``res triage`` over the same corpus by construction.
 
     Not thread-safe: engines mutate per-module caches during a drive.
     Each daemon worker owns one session; the :class:`CacheChain` behind
@@ -674,9 +578,24 @@ class StreamingTriage:
         self.last_phases: list = []
 
     def _engine(self, spec: ProgramSpec) -> TriageEngine:
+        """Compile ``spec`` once and build the one engine every report
+        of that program rides, so the per-module RES caches are shared
+        across reports instead of rebuilt per report."""
         engine = self._engines.get(spec.key)
         if engine is None:
-            engine = build_engine(spec, self.config, self.chain)
+            config = self.config
+            engine = TriageEngine(spec.compile(), config.res_config(),
+                                  annotations=config.annotations,
+                                  stack_depth=config.stack_depth,
+                                  max_suffixes=config.max_suffixes,
+                                  taint_suffixes=config.taint_suffixes)
+            if self.chain.enabled:
+                # Warm engines start primed: a prior run's exported
+                # residual-component cache is exact (pure function of
+                # its key), so priming can speed the search up but
+                # never change a verdict.
+                engine.import_solver_cache(
+                    self.chain.load_solver_cache(spec.module_fp()))
             self._engines[spec.key] = engine
             self._specs[spec.key] = spec
         return engine

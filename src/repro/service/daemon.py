@@ -66,6 +66,7 @@ from repro.vm.coredump import Coredump
 from repro.core.bucketing import IncrementalRefiner
 from repro.core.triage import BugReport, TriageResult
 from repro.core.triage_service import (
+    STORE_FLUSH_EVERY,
     CorpusEntry,
     ProgramSpec,
     TriageCorpus,
@@ -104,11 +105,6 @@ class DaemonConfig:
     #: refused with 429 + Retry-After (dedup attachments are free and
     #: exempt — they consume no worker)
     max_queue: int = 64
-    #: rewrite the report store every N settled verdicts (the final
-    #: shutdown flush always runs, so the store never misses verdicts —
-    #: this only trades mid-run visibility against rewrite traffic,
-    #: which grows with history)
-    flush_every: int = 8
     #: submit→verdict latency samples kept for the p50/p95 gauges
     latency_window: int = 512
     #: drive attempts per job before it settles as failed (covers
@@ -1601,13 +1597,14 @@ class TriageDaemon:
         self._note_settled_locked()
 
     def _note_settled_locked(self) -> None:
-        """Count one settled job; every ``flush_every``-th, snapshot the
-        store inputs (cheap, under the lock) into ``_pending_flush`` for
-        the settle path to *write* after releasing the lock — the fsync
-        must never stall admission or the other workers."""
+        """Count one settled job; every ``STORE_FLUSH_EVERY``-th,
+        snapshot the store inputs (cheap, under the lock) into
+        ``_pending_flush`` for the settle path to *write* after releasing
+        the lock — the fsync must never stall admission or the other
+        workers."""
         self._settled_since_flush += 1
         if self._store is None \
-                or self._settled_since_flush < self.config.flush_every:
+                or self._settled_since_flush < STORE_FLUSH_EVERY:
             return
         self._settled_since_flush = 0
         self._pending_flush = self._store_inputs_locked()

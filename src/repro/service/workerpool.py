@@ -1,11 +1,12 @@
 """Worker executors: the daemon's drive engine, out of the GIL.
 
 PR 5's daemon ran every drive on a worker *thread* — correct, but one
-GIL means one core, and cold verdicts are pure Python compute.  This
-module lifts the PR 3 multiprocess sharding idea into the daemon's
-per-worker shape: each worker slot owns an **executor**, and the
-default executor forks a dedicated worker *process* that holds the
-warm :class:`~repro.core.triage_service.StreamingTriage` session.
+GIL means one core, and cold verdicts are pure Python compute.  Here
+each worker slot owns an **executor**, and the default executor forks
+a dedicated worker *process* that holds the warm
+:class:`~repro.core.triage_service.StreamingTriage` session.  Batch
+``res triage --jobs N`` drives its representatives on the same
+:class:`ProcessExecutor` workers, so the two share one drive path.
 
 The daemon's self-healing contract survives the process boundary
 unchanged because the *proxy thread* (the daemon-side half of each
@@ -61,6 +62,7 @@ import threading
 from typing import Optional
 
 from repro import faultinject
+from repro.errors import ReproError
 from repro.core.triage import BugReport
 from repro.core.triage_service import (
     ProgramSpec,
@@ -115,10 +117,11 @@ class WorkerProcessDied(RuntimeError):
     worker loss against the job, requeue or quarantine, respawn."""
 
 
-class TriageTaskError(RuntimeError):
+class TriageTaskError(ReproError):
     """A drive raised inside the worker; ``str()`` carries the child's
     ``"ExcType: message"`` rendering so retry/quarantine diagnostics
-    read identically to the in-thread path."""
+    read identically to the in-thread path.  A :class:`ReproError`, so
+    ``res triage --jobs N`` reports it as a one-line CLI error."""
 
 
 class ThreadExecutor:

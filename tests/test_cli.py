@@ -368,6 +368,39 @@ def test_triage_corrupt_manifest_json(tmp_path, capsys):
     assert "corrupt corpus manifest" in capsys.readouterr().err
 
 
+def test_triage_sharded_compile_error_is_one_line(tmp_path, capsys):
+    # A program that fails to compile inside a worker executor must
+    # surface like the in-process run: a one-line diagnostic, exit 64,
+    # and no worker left behind.
+    import multiprocessing as mp
+
+    from repro.core.triage import BugReport
+    from repro.core.triage_service import (
+        CorpusEntry,
+        ProgramSpec,
+        TriageCorpus,
+    )
+
+    broken = ProgramSpec(key="broken", source="func main( {")
+    entries = [
+        CorpusEntry(report=BugReport(report_id=f"r{i}",
+                                     coredump=workload.trigger()),
+                    program_key=broken.key)
+        for i, workload in enumerate((FIGURE1_OVERFLOW, TAINTED_OVERFLOW))]
+    corpus_dir = tmp_path / "corpus"
+    TriageCorpus(programs={broken.key: broken},
+                 entries=entries).save(str(corpus_dir))
+    before = {p.pid for p in mp.active_children()}
+    code = main(["triage", "--corpus-dir", str(corpus_dir),
+                 "--jobs", "2"])
+    assert code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("res: error:") and "CompileError" in err
+    assert len(err.strip().splitlines()) == 1
+    leaked = [p for p in mp.active_children() if p.pid not in before]
+    assert not leaked, f"zombie triage workers: {leaked}"
+
+
 def test_triage_unwritable_store(tmp_path, capsys):
     # A path whose parent is a regular file is unwritable even as root
     # (chmod tricks don't bite for uid 0, this always does).

@@ -302,8 +302,8 @@ def test_serial_and_parallel_buckets_identical_on_mixed_corpus():
 
 def test_single_program_corpus_shards_across_jobs(small_corpus):
     """A one-program corpus (the common production shape) must still
-    fan out: groups are chunked, not one-shard-per-program — and the
-    chunked run stays byte-identical to serial."""
+    fan out: every executor pulls from one shared queue, not one shard
+    per program — and the sharded run stays byte-identical to serial."""
     serial = triage_corpus(small_corpus,
                            TriageServiceConfig(jobs=1, max_depth=16,
                                                max_nodes=4000))
@@ -318,7 +318,7 @@ def test_single_program_corpus_shards_across_jobs(small_corpus):
 
 def test_pool_error_propagates_without_leaking_workers(small_corpus):
     """A failing progress callback must surface its own error (not a
-    masked pool shutdown error) and leave no live workers behind."""
+    masked worker shutdown error) and leave no live workers behind."""
     import multiprocessing as mp
 
     before = {p.pid for p in mp.active_children()}
@@ -350,7 +350,7 @@ def test_report_store_is_written_and_complete(small_corpus, tmp_path):
     service = triage_corpus(
         small_corpus,
         TriageServiceConfig(jobs=1, max_depth=16, max_nodes=4000,
-                            store_path=str(store), flush_every=1))
+                            store_path=str(store)))
     payload = json.loads(store.read_text())
     assert payload["complete"] is True
     assert payload["timing"]["dedup_hits"] == service.dedup_hits
@@ -482,15 +482,21 @@ def test_warm_run_against_no_cache_cold_run_is_identical(tmp_path):
         == _view(plain, corpus, plain_config)
 
 
-def test_interrupted_warm_run_resumes_from_partial_cache(tmp_path):
-    """Ctrl-C mid-run: the verdict rows appended before the interrupt
-    must warm-start the resumed run, and the resumed run's store must
-    be byte-identical to an uninterrupted cold run."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_interrupted_warm_run_resumes_from_partial_cache(tmp_path, jobs):
+    """Ctrl-C mid-run (in process, or while worker executors are
+    driving): the verdict rows appended before the interrupt must
+    warm-start the resumed run, no worker may outlive the run, and the
+    resumed run's store must be byte-identical to an uninterrupted cold
+    run."""
+    import multiprocessing as mp
+
     corpus = _mixed_corpus()
     cache_dir = str(tmp_path / "cache")
     store = tmp_path / "store.json"
-    config = TriageServiceConfig(jobs=1, cache_dir=cache_dir,
-                                 store_path=str(store), flush_every=1)
+    config = TriageServiceConfig(jobs=jobs, cache_dir=cache_dir,
+                                 store_path=str(store))
+    before = {p.pid for p in mp.active_children()}
 
     landed_groups = []
 
@@ -502,6 +508,8 @@ def test_interrupted_warm_run_resumes_from_partial_cache(tmp_path):
     partial = triage_corpus(corpus, config, progress=interrupt_after_two)
     assert partial.interrupted
     assert 0 < len(partial.reports) < len(corpus.entries)
+    leaked = [p for p in mp.active_children() if p.pid not in before]
+    assert not leaked, f"zombie triage workers: {leaked}"
     # the partial store is valid, parseable, and flagged incomplete
     payload = json.loads(store.read_text())
     assert payload["complete"] is False
