@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 .PHONY: test perf vm-bench triage-bench warm-bench serve-bench \
 	bucket-bench fleet-bench obs-bench serve-smoke fleet-smoke \
-	chaos-smoke obs-smoke fuzz-smoke fuzz-test fuzz-pinned
+	chaos-smoke obs-smoke fuzz-smoke fuzz-test fuzz-pinned bench-smoke
 
 # Tier-1 verification (fuzz- and perf-marked tests are deselected by
 # pytest.ini; run them via the targets below).
@@ -93,6 +93,12 @@ obs-smoke:
 # comparison (appends `obs_overhead` rows).
 obs-bench:
 	$(PYTHON) -m pytest benchmarks/test_p8_obs_overhead.py -q -m perf
+
+# Benchmark smoke (also a CI gate, ~20 s): every perfbench workload at
+# a tiny size, traced and untraced; fails on any output check,
+# including verdicts_match_across_hash_seeds.
+bench-smoke:
+	$(PYTHON) perfbench/run.py --smoke
 
 # The 200-program differential campaign with the fixed smoke seed.
 # Exit code 1 + artifacts under fuzz-artifacts/ on any divergence.

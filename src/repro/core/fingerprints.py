@@ -16,7 +16,8 @@ import hashlib
 
 #: stats fields that describe effort/timing rather than search behavior
 NON_BEHAVIORAL_STATS = ("solver_calls", "solver_cache_hits",
-                        "time_enumerate", "time_execute", "time_replay")
+                        "solver_unknown", "time_enumerate", "time_execute",
+                        "time_replay")
 
 
 def suffix_fingerprint(synthesized) -> tuple:

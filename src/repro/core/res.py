@@ -116,6 +116,9 @@ class SynthesisStats:
     #: from the shared verdict cache without a search
     solver_calls: int = 0
     solver_cache_hits: int = 0
+    #: of those queries, how many came back UNKNOWN: the search gave
+    #: up with neither a model nor a proof
+    solver_unknown: int = 0
     #: per-phase wall-clock seconds (candidate enumeration + static
     #: filters, symbolic segment execution, replay verification)
     time_enumerate: float = 0.0
@@ -184,10 +187,14 @@ class ReverseExecutionSynthesizer:
         self.writer_index = WriterIndexFilter.for_module(module) \
             if self.config.use_writer_index else None
         self.stats = SynthesisStats()
+        # One synthesizer is one drive: the solver's UNKNOWN memo is
+        # scoped to it.
+        self.solver.begin_drive()
         # The solver may be shared/injected: report only this
         # synthesizer's share of its counters.
         self._solver_calls_base = self.solver.stat_calls
         self._solver_hits_base = self.solver.stat_cache_hits
+        self._solver_unknown_base = self.solver.stat_unknown
 
     # ------------------------------------------------------------------
     # Public API
@@ -225,6 +232,8 @@ class ReverseExecutionSynthesizer:
             - self._solver_calls_base
         self.stats.solver_cache_hits = self.solver.stat_cache_hits \
             - self._solver_hits_base
+        self.stats.solver_unknown = self.solver.stat_unknown \
+            - self._solver_unknown_base
 
     def export_solver_cache(self) -> dict:
         """JSON-safe snapshot of the solver's residual-component cache.

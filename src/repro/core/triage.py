@@ -184,6 +184,7 @@ class TriageEngine:
             "suffixes_emitted": synthesizer.stats.suffixes_emitted,
             "solver_calls": synthesizer.stats.solver_calls,
             "solver_cache_hits": synthesizer.stats.solver_cache_hits,
+            "solver_unknown": synthesizer.stats.solver_unknown,
         }
         if cause is None:
             cause = weak

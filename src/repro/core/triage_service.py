@@ -677,9 +677,9 @@ class StreamingTriage:
                 continue
             attrs = None
             if name == "enumerate":
-                attrs = {"solver_calls": stats.get("solver_calls", 0),
-                         "solver_cache_hits":
-                             stats.get("solver_cache_hits", 0)}
+                attrs = {key: stats.get(key, 0)
+                         for key in ("solver_calls", "solver_cache_hits",
+                                     "solver_unknown")}
             phases.append((name, timed[name], attrs))
         return phases
 

@@ -152,6 +152,18 @@ class Solver:
         max_enum: largest finite domain the search will enumerate
             exhaustively (exhaustion ⇒ a sound UNSAT).
         max_nodes: search-node budget before giving up with UNKNOWN.
+
+    UNKNOWN memo: :meth:`solve` remembers every UNKNOWN verdict under
+    the exact *ordered* ``tuple(constraints)``.  A flat solve is a pure
+    function of that tuple and the caps, so a repeat of a query the
+    search already gave up on (the segment executor's flat fallback,
+    the address-concretization fallbacks, suffix replay re-solving the
+    same conjunction) returns the stored verdict without searching
+    again; a hit counts as a call and a cache hit, like a delta-cache
+    hit.  SAT and UNSAT are never memoized.  The memo is scoped to one
+    drive — :meth:`begin_drive` empties it, and every
+    ``ReverseExecutionSynthesizer`` built on the solver calls it — so
+    it needs no cap and never outlives a drive in a long-lived worker.
     """
 
     def __init__(self, max_enum: int = 4096, max_nodes: int = 200_000):
@@ -179,10 +191,16 @@ class Solver:
         #: point-range folding results, same key discipline as
         #: ``_range_cache`` (id + relevant domains, expr-pinning values)
         self._fold_cache: Dict[tuple, tuple] = {}
+        #: UNKNOWN verdicts of flat solves in the current drive, keyed
+        #: by the ordered constraint tuple (see the class docstring)
+        self._unknown_memo: Dict[Tuple[Expr, ...], SolveResult] = {}
         self._next_token = itertools.count(1)
         #: counters exposed to SynthesisStats
         self.stat_calls = 0
         self.stat_cache_hits = 0
+        #: UNKNOWN verdicts returned by solve/solve_extended, cache and
+        #: memo hits included — how often a query went undecided
+        self.stat_unknown = 0
         #: diagnostic only (never folded into SynthesisStats): range
         #: queries answered from a memo instead of re-walking the tree
         self.stat_range_hits = 0
@@ -191,15 +209,28 @@ class Solver:
     # Public API
     # ------------------------------------------------------------------
 
+    def begin_drive(self) -> None:
+        """Start a new drive: forget the previous drive's UNKNOWNs."""
+        self._unknown_memo.clear()
+
     def solve(self, constraints: Sequence[Expr]) -> SolveResult:
         """Decide satisfiability of the conjunction of ``constraints``."""
         self.stat_calls += 1
+        key = tuple(constraints)
+        cached = self._unknown_memo.get(key)
+        if cached is not None:
+            self.stat_cache_hits += 1
+            self.stat_unknown += 1
+            return cached
         state = _State()
         status = self._assert_all(state, constraints)
         if status is SolveStatus.UNSAT:
             return SolveResult(SolveStatus.UNSAT)
-        result = self._search(state)
-        return self._recheck(result, constraints)
+        result = self._recheck(self._search(state), constraints)
+        if result.status is SolveStatus.UNKNOWN:
+            self.stat_unknown += 1
+            self._unknown_memo[key] = result
+        return result
 
     def _recheck(self, result: SolveResult,
                  constraints: Sequence[Expr]) -> SolveResult:
@@ -294,6 +325,8 @@ class Solver:
         cached = self._delta_cache.get(key)
         if cached is not None:
             self.stat_cache_hits += 1
+            if cached.status is SolveStatus.UNKNOWN:
+                self.stat_unknown += 1
             if not want_context:
                 return cached, None
             child = self.extend_context(ctx, delta)
@@ -308,6 +341,8 @@ class Solver:
                 ctx, delta,
                 self._search(child.state, seed, use_component_cache=True),
                 child.constraints)
+        if result.status is SolveStatus.UNKNOWN:
+            self.stat_unknown += 1
         if len(self._delta_cache) < self._delta_cache_cap:
             self._delta_cache[key] = result
         child.result = result
@@ -1062,7 +1097,11 @@ class Solver:
                 candidates[name] = guesses
                 exhaustive[name] = False
 
-        order = sorted(unbound, key=lambda n: len(candidates[n]))
+        # Fewest candidates first; ties break by name.  ``unbound`` is a
+        # set, so without the name the tie order — and with it which
+        # model is found first, how many nodes an UNKNOWN burns, and the
+        # drive's wall time — would follow PYTHONHASHSEED.
+        order = sorted(unbound, key=lambda n: (len(candidates[n]), n))
         nodes = [0]
         assignment: Dict[str, int] = {}
 

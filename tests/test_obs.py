@@ -213,6 +213,7 @@ def test_trace_crosses_the_workerpool_pipe(tmp_path):
     enumerate_span = next(s for s in spans
                           if s["name"] == "enumerate-1")
     assert enumerate_span["attrs"]["solver_calls"] > 0
+    assert enumerate_span["attrs"]["solver_unknown"] >= 0
 
 
 def test_trace_header_propagates_over_http(tmp_path):

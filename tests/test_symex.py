@@ -523,3 +523,104 @@ def test_interval_refutation_of_masked_comparison():
     # And the tautological direction is dropped, not left to block SAT.
     result = Solver().solve([bin_expr("sle", masked, Const(5000))])
     assert result.is_sat
+
+
+# ---------------------------------------------------------------------------
+# UNKNOWN memo and search order
+# ---------------------------------------------------------------------------
+
+def _factoring_query():
+    """x * y == p * q over 32-bit x, y > 1: the guess list never hits a
+    factor, so the search gives up (UNKNOWN) without a proof."""
+    x, y = Sym("x"), Sym("y")
+    return [bin_expr("eq", bin_expr("mul", x, y), Const(1000003 * 999983)),
+            bin_expr("ugt", x, Const(1)), bin_expr("ugt", y, Const(1)),
+            bin_expr("ult", x, Const(1 << 32)),
+            bin_expr("ult", y, Const(1 << 32))]
+
+
+def _count_searches(solver, monkeypatch):
+    searches = []
+    original = solver._search
+
+    def counting(*args, **kwargs):
+        searches.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_search", counting)
+    return searches
+
+
+def test_unknown_is_memoized_per_ordered_query(monkeypatch):
+    solver = Solver(max_nodes=8)
+    searches = _count_searches(solver, monkeypatch)
+    query = _factoring_query()
+    first = solver.solve(query)
+    assert first.status is SolveStatus.UNKNOWN
+    assert (solver.stat_calls, solver.stat_cache_hits, len(searches)) \
+        == (1, 0, 1)
+    again = solver.solve(tuple(query))
+    assert again is first
+    assert (solver.stat_calls, solver.stat_cache_hits, len(searches)) \
+        == (2, 1, 1), "a repeat is a call and a cache hit, not a search"
+    assert solver.stat_unknown == 2, "memo hits still count as UNKNOWN"
+
+
+def test_unknown_memo_key_is_order_sensitive(monkeypatch):
+    solver = Solver(max_nodes=8)
+    searches = _count_searches(solver, monkeypatch)
+    query = _factoring_query()
+    solver.solve(query)
+    reordered = solver.solve(list(reversed(query)))
+    assert reordered.status is SolveStatus.UNKNOWN
+    assert solver.stat_cache_hits == 0
+    assert len(searches) == 2
+
+
+def test_sat_and_unsat_are_never_memoized(monkeypatch):
+    x = Sym("x")
+    sat = [bin_expr("ugt", x, Const(10)), bin_expr("ult", x, Const(12))]
+    unsat = [bin_expr("ule", x, Const(3)),
+             bin_expr("eq", bin_expr("add", x, x), Const(9))]
+    solver = Solver()
+    searches = _count_searches(solver, monkeypatch)
+    results = [solver.solve(query) for query in (sat, unsat, sat, unsat)]
+    assert [r.status for r in results] == [SolveStatus.SAT,
+                                           SolveStatus.UNSAT] * 2
+    assert results[2] is not results[0] and results[3] is not results[1]
+    assert len(searches) >= 2, "both SAT solves searched"
+    assert solver.stat_cache_hits == 0
+    assert solver.stat_unknown == 0
+
+
+def test_new_synthesizer_empties_the_unknown_memo(monkeypatch):
+    from repro.core import ReverseExecutionSynthesizer
+    from repro.workloads import FIGURE1_OVERFLOW
+
+    solver = Solver(max_nodes=8)
+    query = _factoring_query()
+    solver.solve(query)
+    solver.solve(query)
+    assert solver.stat_cache_hits == 1
+    ReverseExecutionSynthesizer(FIGURE1_OVERFLOW.module,
+                                FIGURE1_OVERFLOW.trigger(), solver=solver)
+    searches = _count_searches(solver, monkeypatch)
+    solver.solve(query)
+    assert solver.stat_cache_hits == 1, "the memo is scoped to one drive"
+    assert len(searches) == 1
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("b", "a"), ("x0", "x1"),
+                                   ("t9", "t10"), ("zz", "za"),
+                                   ("m", "n")])
+def test_search_order_ties_break_by_symbol_name(names):
+    """Both symbols have 4 candidates; whichever the DFS tries first
+    takes the smaller factor of 6, so the model shows the order — name
+    order, never set iteration order (which follows PYTHONHASHSEED)."""
+    first, second = sorted(names)
+    p, q = Sym(names[0]), Sym(names[1])
+    result = Solver().solve([bin_expr("ule", p, Const(3)),
+                             bin_expr("ule", q, Const(3)),
+                             bin_expr("eq", bin_expr("mul", p, q), Const(6))])
+    assert result.is_sat
+    assert result.model == {first: 2, second: 3}

@@ -2,9 +2,14 @@
 service (dedup, sharding, store, serial-vs-parallel equality)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import RESConfig
 from repro.core.triage import (
     BugReport,
@@ -392,6 +397,50 @@ def test_labeled_corpus_causes_follow_arm_kind():
     causes = {e.report.true_cause for e in corpus.entries}
     assert causes <= set(ARM_CAUSE_NAMES.values())
     assert len(corpus.entries) == len(corpus.programs) > 0
+
+
+#: one cold drive of labeled-corpus seed 9013 under the batch service's
+#: engine settings; prints what the drive observably did
+_DRIVE_SCRIPT = """
+import json
+from repro.core.triage import TriageEngine
+from repro.core.triage_service import TriageServiceConfig
+from repro.fuzz.triage_corpus import build_labeled_corpus
+
+corpus = build_labeled_corpus([9013])
+entry = corpus.entries[0]
+config = TriageServiceConfig(max_depth=8, max_nodes=300)
+engine = TriageEngine(corpus.programs[entry.program_key].compile(),
+                      config.res_config(), stack_depth=config.stack_depth,
+                      max_suffixes=config.max_suffixes,
+                      taint_suffixes=config.taint_suffixes)
+result = engine.triage_one(entry.report)
+print(json.dumps({"stats": engine.last_stats,
+                  "digests": list(engine.last_suffix_digests),
+                  "bucket": repr(result.bucket)}))
+"""
+
+
+def _drive_under_hash_seed(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _DRIVE_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_drive_is_identical_across_hash_seeds():
+    """Every byte-identical contract must also hold across processes:
+    fleet nodes and sharded batch workers each run under their own
+    hash seed.  ``fuzz_9013`` is the corpus program whose solver effort
+    follows PYTHONHASHSEED unless DFS ties break by symbol name."""
+    first = _drive_under_hash_seed(0)
+    second = _drive_under_hash_seed(2)
+    assert first["stats"]["solver_unknown"] > 0, \
+        "the drive must exercise UNKNOWN queries"
+    assert first == second
 
 
 def test_corpus_rejects_unknown_program_key():
